@@ -70,12 +70,12 @@ fn main() {
     });
 
     println!("\n== end-to-end: pcap file → engine verdicts ==");
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         EngineConfig {
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },
-        serve_authenticator(&ds, ds.modules().len().max(2)),
+        serve_authenticator(&ds, ds.modules().len().max(2)).freeze(),
         ReplaySource::registry(&ds),
     );
     let t = Instant::now();

@@ -98,7 +98,7 @@ fn main() {
         for (ds, tag) in [(&clean, "clean"), (&degraded, "impaired")] {
             let replay = ReplaySource::from_dataset(ds);
             let registry = ReplaySource::registry(ds);
-            let engine = Engine::start(
+            let engine = Engine::start_frozen(
                 EngineConfig {
                     workers: 2,
                     backpressure: Backpressure::Block,
@@ -108,7 +108,7 @@ fn main() {
                     },
                     ..EngineConfig::default()
                 },
-                auth.clone(),
+                auth.freeze(),
                 registry.clone(),
             );
             for frame in replay.frames() {

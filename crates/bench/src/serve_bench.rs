@@ -135,42 +135,20 @@ pub fn measure_speedup(w: &mut Workload, batch: usize, min_reps: usize) -> Speed
     }
 }
 
-/// Times `FrozenModel::infer_batch_par` at a given context (thread)
-/// count, seconds per batch. `threads = 1` is the no-spawn baseline the
-/// scaling sweep normalises against.
-pub fn measure_par_batch_s(w: &Workload, batch: usize, threads: usize, min_reps: usize) -> f64 {
-    let xs = inputs(w, batch);
-    let frozen = w.net.freeze();
-    let mut ctxs: Vec<deepcsi_nn::InferCtx> = (0..threads).map(|_| frozen.ctx()).collect();
-    let _ = frozen.infer_batch_par(&xs, &mut ctxs); // warm-up
-    let reps = min_reps.max(1);
-    // Best of 5 windows, as in the SELU pass: the minimum is robust
-    // against preemption on shared hosts, which matters doubly here —
-    // the spawn-vs-pool comparison is decided by margins smaller than
-    // one descheduling.
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(frozen.infer_batch_par(&xs, &mut ctxs));
-        }
-        best = best.min(t.elapsed().as_secs_f64() / reps as f64);
-    }
-    best
-}
-
-/// Times the same lane split through a persistent [`deepcsi_nn::InferPool`]
-/// at a given lane count, seconds per batch. The pool is built once
-/// outside the timed loop — exactly how the serving engine holds it —
-/// so the measurement sees the steady-state hot path (channel handoff,
-/// no spawn/join) rather than pool construction.
+/// Times one batch through a persistent [`deepcsi_nn::InferPool`] at a
+/// given lane count, seconds per batch. `lanes = 1` is the serial
+/// baseline the scaling sweep normalises against. The pool is built
+/// once outside the timed loop — exactly how the serving engine holds
+/// it — so the measurement sees the steady-state hot path (channel
+/// handoff) rather than pool construction.
 pub fn measure_pool_batch_s(w: &Workload, batch: usize, lanes: usize, min_reps: usize) -> f64 {
     let xs = inputs(w, batch);
     let frozen = w.net.freeze();
     let mut pool = deepcsi_nn::InferPool::new(lanes);
     let _ = pool.infer_batch(&frozen, &xs); // warm-up (grows lane buffers)
     let reps = min_reps.max(1);
-    // Best of 5 windows, matching `measure_par_batch_s` exactly.
+    // Best of 5 windows, as in the SELU pass: the minimum is robust
+    // against preemption on shared hosts.
     let mut best = f64::INFINITY;
     for _ in 0..5 {
         let t = Instant::now();
@@ -250,9 +228,9 @@ pub fn engine_reports_per_sec_observed<T>(
     detach: impl FnOnce(T),
 ) -> f64 {
     let replay = ReplaySource::from_dataset(ds);
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         cfg,
-        serve_authenticator(ds, ds.modules().len().max(2)),
+        serve_authenticator(ds, ds.modules().len().max(2)).freeze(),
         ReplaySource::registry(ds),
     );
     let observers = attach(&engine);

@@ -188,7 +188,11 @@ fn run_node(flags: &Flags) {
         t.elapsed()
     );
     let cfg = flags.engine_config();
-    let engine = Arc::new(Engine::start(cfg, auth, ReplaySource::registry(&ds)));
+    let engine = Arc::new(Engine::start_frozen(
+        cfg,
+        auth.freeze(),
+        ReplaySource::registry(&ds),
+    ));
 
     // Restore per-device policy state from a previous life, if any.
     let snapshot_file = flags.get("--snapshot-file");
@@ -374,12 +378,12 @@ fn compare_local(
 ) -> bool {
     let auth = demo_model(demo, ds);
     let replay = ReplaySource::from_dataset(ds);
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         EngineConfig {
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },
-        auth,
+        auth.freeze(),
         ReplaySource::registry(ds),
     );
     for _ in 0..repeat {

@@ -18,12 +18,11 @@
 //!   [`Network::freeze`] snapshots the weights into an immutable
 //!   `Send + Sync` model (one `Arc` shared by every serving worker, no
 //!   per-worker clone) while all scratch lives in a per-worker context;
-//!   `infer`/`infer_batch` are bit-equal to `forward(train = false)`,
-//!   and [`FrozenModel::infer_batch_par`] splits a batch's lane blocks
-//!   across threads without ever changing an output.
-//! * [`InferPool`] — the persistent serving runtime: parked lane
-//!   threads own their contexts for the process lifetime, so the same
-//!   bit-exact lane split runs with no spawn/join on the hot path.
+//!   `infer`/`infer_batch` are bit-equal to `forward(train = false)`.
+//! * [`InferPool`] — the one way to split a batch's lane blocks across
+//!   threads, without ever changing an output: parked lane threads own
+//!   their contexts for the pool's lifetime, so the split pays no
+//!   spawn/join per call. Serving and [`evaluate`] both run on it.
 //! * [`quant`] — the int8 serving backend: [`QuantSpec::calibrate`] +
 //!   [`Network::freeze_int8`] re-freeze conv/dense onto integer
 //!   dot-product kernels behind the same [`InferOp`] seam (top-1

@@ -4,6 +4,7 @@ use crate::loss::softmax_cross_entropy;
 use crate::metrics::ConfusionMatrix;
 use crate::network::Network;
 use crate::optim::{Adam, Optimizer};
+use crate::pool::InferPool;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -262,65 +263,40 @@ pub fn predict(net: &Network, x: &Tensor) -> usize {
 /// Evaluates a network over a labelled set, returning overall accuracy and
 /// the confusion matrix.
 ///
-/// Freezes the network **once** and shares the one weight snapshot
-/// across every evaluation thread (`FrozenModel` is `Sync`); each thread
-/// owns only a scratch [`crate::InferCtx`].
+/// Freezes the network **once** and runs the one weight snapshot
+/// through an [`InferPool`] with one lane per available core. The
+/// pool's split is bit-exact, so the result does not depend on the
+/// host's core count.
 ///
 /// # Panics
 ///
 /// Panics if `x` and `y` lengths differ, the set is empty, or a label is
 /// out of range of the network's output dimension.
 pub fn evaluate(net: &Network, x: &[Tensor], y: &[usize]) -> (f64, ConfusionMatrix) {
+    evaluate_on(&mut InferPool::new(available_threads()), net, x, y)
+}
+
+/// [`evaluate`] on a caller-chosen pool.
+fn evaluate_on(
+    pool: &mut InferPool,
+    net: &Network,
+    x: &[Tensor],
+    y: &[usize],
+) -> (f64, ConfusionMatrix) {
     assert_eq!(x.len(), y.len(), "one label per sample");
     assert!(!x.is_empty(), "empty evaluation set");
     let frozen = net.freeze();
-    let mut ctx = frozen.ctx();
-    let n_classes = frozen.infer(&x[0], &mut ctx).len();
+    let n_classes = frozen.infer(&x[0], &mut frozen.ctx()).len();
     let mut cm = ConfusionMatrix::new(n_classes);
     // Micro-batched inference: one weight pass per batch instead of one
-    // per sample (same SIMD path the serving engine uses).
+    // per sample (same SIMD path the serving engine uses). Each call
+    // feeds the pool `EVAL_BATCH` samples per lane, so `plan_split`
+    // hands every lane one `EVAL_BATCH` block.
     const EVAL_BATCH: usize = 32;
-    let threads = available_threads();
-    if threads <= 1 || x.len() < 2 * EVAL_BATCH {
-        for (chunk, ys) in x.chunks(EVAL_BATCH).zip(y.chunks(EVAL_BATCH)) {
-            for (out, &yi) in frozen.infer_batch(chunk, &mut ctx).iter().zip(ys) {
-                cm.add(yi, out.argmax());
-            }
-        }
-    } else {
-        let shard_size = x.len().div_ceil(threads).max(EVAL_BATCH);
-        let shared = &frozen;
-        let preds: Vec<Vec<(usize, usize)>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = x
-                .chunks(shard_size)
-                .zip(y.chunks(shard_size))
-                .map(|(xs, ys)| {
-                    scope.spawn(move |_| {
-                        let mut ctx = shared.ctx();
-                        xs.chunks(EVAL_BATCH)
-                            .zip(ys.chunks(EVAL_BATCH))
-                            .flat_map(|(xc, yc)| {
-                                shared
-                                    .infer_batch(xc, &mut ctx)
-                                    .into_iter()
-                                    .zip(yc)
-                                    .map(|(out, &yi)| (yi, out.argmax()))
-                                    .collect::<Vec<_>>()
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("eval worker panicked"))
-                .collect()
-        })
-        .expect("crossbeam scope failed");
-        for shard in preds {
-            for (actual, pred) in shard {
-                cm.add(actual, pred);
-            }
+    let step = EVAL_BATCH * pool.lanes();
+    for (xs, ys) in x.chunks(step).zip(y.chunks(step)) {
+        for (out, &yi) in pool.infer_batch(&frozen, xs).iter().zip(ys) {
+            cm.add(yi, out.argmax());
         }
     }
     (cm.accuracy(), cm)
@@ -412,6 +388,20 @@ mod tests {
         assert_eq!(cm.total(), 40);
         assert!((0.0..=1.0).contains(&acc));
         assert!((cm.accuracy() - acc).abs() < 1e-12);
+    }
+
+    #[test]
+    fn evaluate_is_independent_of_the_lane_count() {
+        // 203 samples: full multi-lane calls plus a ragged tail that
+        // splits differently at every lane count.
+        let (xs, ys) = blobs(203, 4);
+        let net = blob_net();
+        let (_, want) = evaluate_on(&mut InferPool::new(1), &net, &xs, &ys);
+        assert_eq!(want.total(), 203);
+        for lanes in [2usize, 3, 8] {
+            let (_, got) = evaluate_on(&mut InferPool::new(lanes), &net, &xs, &ys);
+            assert_eq!(got, want, "lanes={lanes}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based and 2-D-path tests for the deep-learning substrate.
 
 use deepcsi_nn::{
-    poly_exp, softmax_cross_entropy, AlphaDropout, Conv2d, Dense, Flatten, InferCtx, InferPool,
-    Layer, MaxPool2d, Network, Selu, Sigmoid, SpatialAttention, Tensor, PAR_MIN_CHUNK,
+    poly_exp, softmax_cross_entropy, AlphaDropout, Conv2d, Dense, Flatten, InferPool, Layer,
+    MaxPool2d, Network, Selu, Sigmoid, SpatialAttention, Tensor, PAR_MIN_CHUNK,
 };
 use deepcsi_obs::Profiler;
 use proptest::prelude::*;
@@ -239,14 +239,14 @@ proptest! {
     /// The tentpole contract of the train/serve split:
     /// `FrozenModel::infer_batch` must be **bit-exact** against
     /// `Network::forward(x, false)` over ragged batch sizes, AND the
-    /// thread-parallel lane split (`infer_batch_par` with 1, 2 or 4
-    /// contexts) must never change a single bit — a serving verdict can
-    /// never depend on `infer_threads`.
+    /// `InferPool` lane split (1, 2 or 4 lanes) must never change a
+    /// single bit — a serving verdict can never depend on
+    /// `infer_threads`.
     #[test]
     fn frozen_infer_batch_is_bit_exact_across_batches_and_threads(
         // Up to 69 samples: enough full 16-wide lane blocks that 4
-        // contexts genuinely split (threads = max(1, n/16)), while the
-        // small sizes cover the no-spawn fallback and ragged tails.
+        // lanes genuinely split (lanes = max(1, n/16)), while the small
+        // sizes cover the caller-inline fallback and ragged tails.
         xs in proptest::collection::vec(tensor(vec![3, 1, 24]), 1..70),
     ) {
         let mut net = Network::new();
@@ -265,8 +265,7 @@ proptest! {
 
         let want: Vec<Tensor> = xs.iter().map(|x| net.forward(x, false)).collect();
         for threads in [1usize, 2, 4] {
-            let mut ctxs: Vec<InferCtx> = (0..threads).map(|_| frozen.ctx()).collect();
-            let got = frozen.infer_batch_par(&xs, &mut ctxs);
+            let got = InferPool::new(threads).infer_batch(&frozen, &xs);
             prop_assert_eq!(got.len(), want.len());
             for (w, g) in want.iter().zip(&got) {
                 prop_assert_eq!(w.shape(), g.shape());
@@ -290,14 +289,13 @@ proptest! {
     /// The polynomial `exp` both the forward and frozen paths share must
     /// stay within a small ULP budget of `f32::exp` everywhere in the
     /// normal-result range.
-    /// Degenerate splits — more contexts than the batch has lane
-    /// blocks, a batch of 1, lane counts that do not divide the batch —
-    /// must never produce an empty partition (every sample classified
+    /// Degenerate splits — more lanes than the batch has lane blocks,
+    /// a batch of 1, lane counts that do not divide the batch — must
+    /// never produce an empty partition (every sample classified
     /// exactly once), must stay bit-exact against the single-context
-    /// path, and the per-lane profilers must account each sample
-    /// exactly once (no double counting from a skewed split). The
-    /// persistent [`InferPool`] inherits the identical guarantee: it
-    /// shares the spawn path's partition function.
+    /// path, must never engage a lane below one full lane block of
+    /// work, and the per-lane profilers must account each sample
+    /// exactly once (no double counting from a skewed split).
     #[test]
     fn degenerate_splits_never_drop_samples_or_skew_profilers(
         xs in proptest::collection::vec(tensor(vec![6]), 1..40),
@@ -313,44 +311,10 @@ proptest! {
         let mut one = frozen.ctx();
         let want = frozen.infer_batch(&xs, &mut one);
 
-        // Spawn-per-call path, every lane armed with a profiler.
-        let mut ctxs: Vec<InferCtx> = (0..lanes)
-            .map(|_| {
-                let mut ctx = frozen.ctx();
-                ctx.set_profiler(Profiler::new());
-                ctx
-            })
-            .collect();
-        let got = frozen.infer_batch_par(&xs, &mut ctxs);
-        prop_assert_eq!(got.len(), batch, "no partition may come up empty or dropped");
-        for (w, g) in want.iter().zip(&got) {
-            prop_assert!(w.as_slice() == g.as_slice(), "par split diverged");
-        }
-        // Each op processes every sample exactly once across the lanes
-        // — an op's per-lane sample count summed over contexts must be
-        // exactly the batch, however skewed the split.
-        for op_index in 0..3 {
-            let samples: u64 = ctxs
-                .iter()
-                .map(|ctx| {
-                    ctx.profiler()
-                        .and_then(|p| p.ops().get(op_index))
-                        .map_or(0, |stat| stat.samples)
-                })
-                .sum();
-            prop_assert_eq!(
-                samples,
-                batch as u64,
-                "op {} accounted {} samples for batch {} over {} lanes",
-                op_index, samples, batch, lanes
-            );
-        }
-
-        // The persistent pool: same partition function, same contract.
         let mut pool = InferPool::new(lanes);
         pool.set_profilers((0..lanes).map(|_| Profiler::new()).collect());
         let got = pool.infer_batch(&frozen, &xs);
-        prop_assert_eq!(got.len(), batch);
+        prop_assert_eq!(got.len(), batch, "no partition may come up empty or dropped");
         for (w, g) in want.iter().zip(&got) {
             prop_assert!(w.as_slice() == g.as_slice(), "pool split diverged");
         }
@@ -359,14 +323,17 @@ proptest! {
             pool.last_engaged() <= batch.div_ceil(PAR_MIN_CHUNK).max(1),
             "a lane below one full lane block of work was engaged"
         );
+        // Each op processes every sample exactly once across the lanes
+        // — the merged per-op sample count must be exactly the batch,
+        // however skewed the split.
         let table = pool.profile_table();
         prop_assert_eq!(table.len(), 3, "one merged row per op");
         for stat in &table {
             prop_assert_eq!(
                 stat.samples,
                 batch as u64,
-                "pool op {} accounted {} samples for batch {}",
-                &stat.name, stat.samples, batch
+                "op {} accounted {} samples for batch {} over {} lanes",
+                &stat.name, stat.samples, batch, lanes
             );
         }
     }

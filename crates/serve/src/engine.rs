@@ -34,7 +34,7 @@ use crate::snapshot::{DeviceSnapshot, EngineSnapshot};
 use crate::telemetry::{EngineStats, Stage, Telemetry};
 use crate::window::{WindowConfig, WindowedDecision};
 use deepcsi_capture::{CaptureError, FrameSource, SourcePoll};
-use deepcsi_core::{Authenticator, FrozenAuthenticator, Precision};
+use deepcsi_core::{FrozenAuthenticator, Precision};
 use deepcsi_frame::{BeamformingReportFrame, CapturedReport, MacAddr};
 use deepcsi_nn::{InferPool, Tensor};
 use deepcsi_obs::{
@@ -102,11 +102,9 @@ pub struct EngineConfig {
     /// the lanes live for the life of the worker.
     ///
     /// Defaults to `1` — the caller-inline lane only, no helper threads
-    /// and no channel round-trip. Because the pool partitions batches
-    /// with the same [`deepcsi_nn::plan_split`] as the spawn-per-call
-    /// [`deepcsi_nn::FrozenModel::infer_batch_par`], changing this can
-    /// change throughput but **never a verdict** (pinned by the
-    /// engine's thread-invariance tests).
+    /// and no channel round-trip. The pool's lane split is bit-exact,
+    /// so changing this can change throughput but **never a verdict**
+    /// (pinned by the engine's thread-invariance tests).
     ///
     /// Usable parallelism is additionally bounded by the micro-batch:
     /// each thread gets at least one full [`deepcsi_nn::PAR_MIN_CHUNK`]
@@ -123,10 +121,11 @@ pub struct EngineConfig {
     /// [`EngineConfig::max_batch`]) or [`BatchFormer::Adaptive`] (a
     /// latency-aware target that grows under queue pressure and shrinks
     /// to `min_batch` when idle, cutting linger latency entirely at a
-    /// target of 1). Batching never affects a per-report output or the
-    /// per-shard FIFO order, so the former mode can change latency and
-    /// throughput but **never a verdict** (pinned by the engine's
-    /// former-invariance tests).
+    /// target of 1). Both run the one adaptive control law; `Fixed` is
+    /// its `min_batch == max_batch` case. Batching never affects a
+    /// per-report output or the per-shard FIFO order, so the former mode
+    /// can change latency and throughput but **never a verdict** (pinned
+    /// by the engine's former-invariance tests).
     pub former: BatchFormer,
     /// Full-queue policy.
     pub backpressure: Backpressure,
@@ -221,6 +220,10 @@ pub enum BatchFormer {
     /// [`EngineConfig::max_batch`] — the historical fixed former. An
     /// idle stream pays the full linger on every report; a loaded one
     /// still caps at `max_batch`.
+    ///
+    /// This is the adaptive law below with `min_batch == max_batch`:
+    /// halving floors at `max_batch` and doubling caps at it, so the
+    /// target never moves.
     Fixed,
     /// Latency-aware adaptive former. Each worker holds a per-batch
     /// target in `[min_batch, max_batch]` and steers it from two
@@ -253,10 +256,14 @@ impl BatchFormer {
     pub fn adaptive() -> BatchFormer {
         BatchFormer::Adaptive {
             min_batch: 1,
-            slo: Duration::from_millis(250),
+            slo: DEFAULT_BATCH_SLO,
         }
     }
 }
+
+/// The service budget of [`BatchFormer::adaptive`] (and, with no effect
+/// on its target, of [`BatchFormer::Fixed`]).
+const DEFAULT_BATCH_SLO: Duration = Duration::from_millis(250);
 
 /// Why [`Engine::ingest_available`] stopped pulling from its source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -477,7 +484,7 @@ type ShardState = Arc<Mutex<Shard>>;
 /// let mut cfg = EngineConfig::default();
 /// cfg.decision.kind = PolicyKind::ConfidenceWeighted;
 ///
-/// let engine = Engine::start(cfg, auth(), ReplaySource::registry(&dataset));
+/// let engine = Engine::start_frozen(cfg, auth().freeze(), ReplaySource::registry(&dataset));
 /// for frame in ReplaySource::from_dataset(&dataset).frames() {
 ///     engine.ingest_frame(frame);
 /// }
@@ -546,46 +553,17 @@ impl std::fmt::Debug for LayerProfile {
 }
 
 impl Engine {
-    /// Starts the worker pool around a trained authenticator.
-    ///
-    /// Convenience wrapper over [`Engine::start_frozen`]: the
-    /// authenticator is frozen once ([`Authenticator::freeze`]) and that
-    /// single immutable snapshot is shared by every worker. **Earlier
-    /// versions of this signature cloned the full weight set into each
-    /// worker; that behaviour is gone** — per-worker weight clones cost
-    /// `workers × model size` of memory for nothing. Callers that
-    /// already hold a frozen model (or want to share one across several
-    /// engines) should use [`Engine::start_frozen`] directly; this
-    /// by-value signature survives only for source compatibility.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero worker count, queue capacity, batch size or
-    /// inference-thread count, or when `cfg.precision` is not
-    /// [`Precision::F32`] — quantization needs calibration data this
-    /// signature does not carry; build the snapshot with
-    /// [`FrozenAuthenticator::quantized`] and use
-    /// [`Engine::start_frozen`].
-    pub fn start(cfg: EngineConfig, auth: Authenticator, registry: DeviceRegistry) -> Engine {
-        assert_eq!(
-            cfg.precision,
-            Precision::F32,
-            "Engine::start cannot calibrate an int8 snapshot; quantize with \
-             FrozenAuthenticator::quantized and use Engine::start_frozen"
-        );
-        Self::start_frozen(cfg, auth.freeze(), registry)
-    }
-
     /// Starts the worker pool around a frozen (immutable, `Send + Sync`)
     /// authenticator snapshot.
     ///
     /// All workers hold clones of one `Arc<FrozenAuthenticator>` — there
     /// is no per-worker weight copy; the only per-worker inference state
     /// is a persistent [`InferPool`] of `cfg.infer_threads` scratch
-    /// lanes. Pass an existing
-    /// `Arc` to share the same snapshot across engines (e.g. a serving
-    /// engine and an offline evaluator), or a bare
-    /// [`FrozenAuthenticator`] to let the engine wrap it.
+    /// lanes. Pass an existing `Arc` to share the same snapshot across
+    /// engines (e.g. a serving engine and an offline evaluator), or a
+    /// bare [`FrozenAuthenticator`] (such as the result of
+    /// [`deepcsi_core::Authenticator::freeze`]) to let the engine wrap
+    /// it.
     ///
     /// ```no_run
     /// use std::sync::Arc;
@@ -646,15 +624,12 @@ impl Engine {
         telemetry
             .pool_lanes
             .store(cfg.infer_threads as u64, Ordering::Relaxed);
+        let former = AdaptiveFormer::new(cfg.former, cfg.max_batch, cfg.batch_linger);
         // Seed the batch-target gauge so a scrape before the first batch
         // reads the starting target, not 0.
-        let initial_target = match cfg.former {
-            BatchFormer::Fixed => cfg.max_batch,
-            BatchFormer::Adaptive { min_batch, .. } => min_batch,
-        };
         telemetry
             .batch_target
-            .store(initial_target as u64, Ordering::Relaxed);
+            .store(former.target() as u64, Ordering::Relaxed);
         // One shared wall-clock anchor: every worker stamps audit events
         // against the same last-known-good epoch reference.
         let clock = WallClock::new();
@@ -709,7 +684,7 @@ impl Engine {
                 device_cap,
                 max_batch: cfg.max_batch,
                 linger: cfg.batch_linger,
-                former: cfg.former,
+                former,
                 infer_threads: cfg.infer_threads,
                 clock,
                 tracer: tracer.clone(),
@@ -1102,8 +1077,9 @@ struct WorkerCtx {
     device_cap: Option<usize>,
     max_batch: usize,
     linger: Duration,
-    /// Batch formation strategy (fixed cap vs adaptive target).
-    former: BatchFormer,
+    /// The batch former's starting state (each worker steers its own
+    /// copy).
+    former: AdaptiveFormer,
     /// Lane-split width for each micro-batch inference call.
     infer_threads: usize,
     /// Fault-tolerant wall-clock source for audit timestamps (shared
@@ -1193,9 +1169,10 @@ fn fill_batch(rx: &Receiver<Queued>, batch: &mut Vec<Queued>, cap: usize, deadli
     }
 }
 
-/// The adaptive batch former's controller state (one per worker; see
-/// [`BatchFormer::Adaptive`] for the control law).
-#[derive(Debug)]
+/// The batch former's controller state (one per worker; see
+/// [`BatchFormer::Adaptive`] for the control law). Every
+/// [`BatchFormer`] runs it: `Fixed` is the `min == max` case.
+#[derive(Debug, Clone, Copy)]
 struct AdaptiveFormer {
     target: usize,
     min: usize,
@@ -1207,16 +1184,17 @@ struct AdaptiveFormer {
 }
 
 impl AdaptiveFormer {
-    fn new(former: BatchFormer, max_batch: usize, linger: Duration) -> Option<AdaptiveFormer> {
-        match former {
-            BatchFormer::Fixed => None,
-            BatchFormer::Adaptive { min_batch, slo } => Some(AdaptiveFormer {
-                target: min_batch,
-                min: min_batch,
-                max: max_batch,
-                slo,
-                linger,
-            }),
+    fn new(former: BatchFormer, max_batch: usize, linger: Duration) -> AdaptiveFormer {
+        let (min, slo) = match former {
+            BatchFormer::Fixed => (max_batch, DEFAULT_BATCH_SLO),
+            BatchFormer::Adaptive { min_batch, slo } => (min_batch, slo),
+        };
+        AdaptiveFormer {
+            target: min,
+            min,
+            max: max_batch,
+            slo,
+            linger,
         }
     }
 
@@ -1273,24 +1251,21 @@ impl WorkerCtx {
             );
         }
         let mut spans = self.tracer.thread();
-        let mut former = AdaptiveFormer::new(self.former, self.max_batch, self.linger);
+        let mut former = self.former;
         let mut batch: Vec<Queued> = Vec::with_capacity(self.max_batch);
+        // The former reads how long the worker sat idle before each
+        // opener: from the end of the previous batch to its arrival.
+        let mut idle_since = Instant::now();
         // Block for each batch opener; exit once all senders are gone.
-        loop {
-            // The adaptive controller reads how long the worker sat
-            // idle; under the fixed former the clock is skipped.
-            let wait_started = former.as_ref().map(|_| Instant::now());
-            let Ok(opener) = self.rx.recv() else { break };
-            let waited = wait_started.map(|t| t.elapsed());
+        while let Ok(opener) = self.rx.recv() {
+            let opened = Instant::now();
             batch.push(opener);
             // Linger to fill the micro-batch up to the former's cap. A
             // cap of 1 skips the linger entirely: the opener departs
             // the moment it arrives.
-            let cap = former
-                .as_ref()
-                .map_or(self.max_batch, AdaptiveFormer::target);
+            let cap = former.target();
             if batch.len() < cap {
-                fill_batch(&self.rx, &mut batch, cap, Instant::now() + self.linger);
+                fill_batch(&self.rx, &mut batch, cap, opened + self.linger);
             }
             // One sampling decision per micro-batch: a sampled batch
             // records a span for every stage it passes through.
@@ -1302,7 +1277,7 @@ impl WorkerCtx {
             // rejected) in `accounted`; whatever a panic left unaccounted
             // is rejected here, so enqueued == classified + rejected
             // always reconciles.
-            let service_started = former.as_ref().map(|_| Instant::now());
+            let service_started = Instant::now();
             let accounted = std::cell::Cell::new(0u64);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.classify(&batch, &accounted, &mut pool, sampled, &mut spans);
@@ -1312,14 +1287,11 @@ impl WorkerCtx {
                     .rejected
                     .fetch_add(batch.len() as u64 - accounted.get(), Ordering::Relaxed);
             }
-            if let (Some(former), Some(waited), Some(started)) =
-                (former.as_mut(), waited, service_started)
-            {
-                former.observe(batch.len(), waited, started.elapsed());
-                self.telemetry
-                    .batch_target
-                    .store(former.target() as u64, Ordering::Relaxed);
-            }
+            let served = Instant::now();
+            former.observe(batch.len(), opened - idle_since, served - service_started);
+            self.telemetry
+                .batch_target
+                .store(former.target() as u64, Ordering::Relaxed);
             // Publish the live profile before the in-flight count drops:
             // once `drain()` returns, every drained batch is visible to
             // `/profile`. A publish is a small table clone under an
@@ -1330,6 +1302,7 @@ impl WorkerCtx {
             }
             self.in_flight.sub(batch.len() as i64);
             batch.clear();
+            idle_since = served;
         }
         // Exit path: one final publish so the engine's shutdown merge
         // (and any last live scrape) sees every batch. The profilers
@@ -1725,15 +1698,29 @@ mod tests {
         assert_eq!(batch.len(), 4, "queued backlog must fill the batch");
     }
 
+    /// `Fixed` is the adaptive law at `min == max`: no signal the
+    /// controller reacts to can move its target off `max_batch`.
     #[test]
-    fn fixed_former_runs_without_a_controller() {
-        assert!(AdaptiveFormer::new(BatchFormer::Fixed, 32, Duration::from_millis(2)).is_none());
+    fn fixed_former_target_never_moves() {
+        let linger = Duration::from_millis(2);
+        let mut former = AdaptiveFormer::new(BatchFormer::Fixed, 32, linger);
+        assert_eq!(former.target(), 32);
+        // SLO breach: a full, prompt batch far over the service budget.
+        former.observe(32, Duration::ZERO, DEFAULT_BATCH_SLO * 4);
+        assert_eq!(former.target(), 32);
+        // Idle wait: the opener took longer than one linger to arrive.
+        former.observe(1, linger * 4, Duration::from_millis(1));
+        assert_eq!(former.target(), 32);
+        // Full-batch pressure: prompt, filled and fast, repeatedly.
+        for _ in 0..4 {
+            former.observe(32, Duration::ZERO, Duration::from_millis(1));
+            assert_eq!(former.target(), 32);
+        }
     }
 
     #[test]
     fn adaptive_former_grows_under_backlog_and_caps_at_max() {
-        let mut former = AdaptiveFormer::new(BatchFormer::adaptive(), 32, Duration::from_millis(2))
-            .expect("adaptive");
+        let mut former = AdaptiveFormer::new(BatchFormer::adaptive(), 32, Duration::from_millis(2));
         let mut seen = vec![former.target()];
         for _ in 0..8 {
             // Prompt opener, full batch, fast service: pure backlog.
@@ -1745,8 +1732,7 @@ mod tests {
 
     #[test]
     fn adaptive_former_shrinks_on_idle_and_floors_at_min() {
-        let mut former = AdaptiveFormer::new(BatchFormer::adaptive(), 32, Duration::from_millis(2))
-            .expect("adaptive");
+        let mut former = AdaptiveFormer::new(BatchFormer::adaptive(), 32, Duration::from_millis(2));
         for _ in 0..5 {
             former.observe(former.target(), Duration::ZERO, Duration::from_millis(1));
         }
@@ -1763,8 +1749,7 @@ mod tests {
 
     #[test]
     fn adaptive_former_sheds_load_on_an_slo_breach() {
-        let mut former = AdaptiveFormer::new(BatchFormer::adaptive(), 32, Duration::from_millis(2))
-            .expect("adaptive");
+        let mut former = AdaptiveFormer::new(BatchFormer::adaptive(), 32, Duration::from_millis(2));
         for _ in 0..5 {
             former.observe(former.target(), Duration::ZERO, Duration::from_millis(1));
         }
@@ -1777,8 +1762,7 @@ mod tests {
 
     #[test]
     fn underfilled_prompt_batches_hold_the_target() {
-        let mut former = AdaptiveFormer::new(BatchFormer::adaptive(), 32, Duration::from_millis(2))
-            .expect("adaptive");
+        let mut former = AdaptiveFormer::new(BatchFormer::adaptive(), 32, Duration::from_millis(2));
         for _ in 0..3 {
             former.observe(former.target(), Duration::ZERO, Duration::from_millis(1));
         }

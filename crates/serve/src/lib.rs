@@ -61,9 +61,9 @@
 //! # fn auth() -> deepcsi_core::Authenticator { unimplemented!() }
 //! # let dataset = deepcsi_data::Dataset::default();
 //! let replay = ReplaySource::from_dataset(&dataset);
-//! let engine = Engine::start(
+//! let engine = Engine::start_frozen(
 //!     EngineConfig::default(),
-//!     auth(),
+//!     auth().freeze(),
 //!     ReplaySource::registry(&dataset),
 //! );
 //! for frame in replay.frames() {

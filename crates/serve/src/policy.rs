@@ -1092,6 +1092,10 @@ mod tests {
             }
             .build(window(), gates());
             let mut s = policy.new_state();
+            // No evidence yet: no decision, so even a registered stream
+            // is Unknown.
+            assert_eq!(s.decision(), None, "{kind}");
+            assert_eq!(s.verdict(Some(1)), Verdict::Unknown, "{kind}");
             for _ in 0..50 {
                 s.push(1, 0.95);
             }
@@ -1101,17 +1105,10 @@ mod tests {
 
     #[test]
     fn fixed_majority_replicates_legacy_verdicts() {
-        use crate::registry::DeviceRegistry;
-        use deepcsi_frame::MacAddr;
-        use deepcsi_impair::DeviceId;
-
         // Pseudo-random (module, confidence) streams: the policy state's
-        // verdict must equal the legacy registry evaluation at every
-        // step.
+        // decision and verdict must equal a bare `DecisionWindow` judged
+        // by `Verdict::from_decision` at every step.
         let policy = FixedMajority::new(window(), gates());
-        let mut reg = DeviceRegistry::new();
-        let mac = MacAddr::station(9);
-        reg.register(mac, DeviceId(2));
         for seed in 0..7u64 {
             let mut s = policy.new_state();
             let mut legacy = DecisionWindow::new(window());
@@ -1124,7 +1121,9 @@ mod tests {
                 let confidence = ((x >> 11) % 1000) as f64 / 1000.0;
                 s.push(module, confidence);
                 legacy.push(module, confidence);
-                let want = Verdict::evaluate(&reg, gates(), mac, legacy.decision().as_ref());
+                let want = legacy
+                    .decision()
+                    .map_or(Verdict::Unknown, |d| Verdict::from_decision(gates(), 2, &d));
                 assert_eq!(s.verdict(Some(2)), want);
                 assert_eq!(s.decision(), legacy.decision());
             }
