@@ -6,8 +6,9 @@
 //!   the beamformee computation behind Figs. 8–17 and the Fig. 13
 //!   quantization study.
 //! * `frame`     — the monitor's encode/parse path (all captures).
-//! * `input`     — Ṽ reconstruction + tensor assembly, incl. the Fig. 16
-//!   offset-cleaning baseline.
+//! * `input`     — Ṽ reconstruction + tensor assembly at full, stride-2
+//!   and stride-4 (serving) resolution, incl. the Fig. 16 offset-cleaning
+//!   baseline.
 //! * `classifier`— forward/backward of the fast and paper CNN profiles
 //!   (training cost of Figs. 7–12, 15–17).
 
@@ -115,10 +116,17 @@ fn bench_input(c: &mut Criterion) {
     let fb = sample_feedback();
     let spec = InputSpec::paper_default();
     let fast = InputSpec::fast();
+    // The stride-4 serving spec (deepcsi-served, the scenario matrix, the
+    // cluster demo): a quarter of the tones are reconstructed.
+    let demo = InputSpec {
+        stride: 4,
+        ..InputSpec::default()
+    };
     let mut g = c.benchmark_group("input");
     g.sample_size(30);
     g.bench_function("tensor_assembly_full", |b| b.iter(|| spec.tensor(&fb)));
     g.bench_function("tensor_assembly_fast", |b| b.iter(|| fast.tensor(&fb)));
+    g.bench_function("tensor_assembly_demo", |b| b.iter(|| demo.tensor(&fb)));
     g.bench_function("offset_cleaning_234_tones", |b| {
         b.iter_batched(
             || fb.reconstruct(),

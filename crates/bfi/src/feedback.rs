@@ -65,20 +65,28 @@ impl BeamformingFeedback {
         }
     }
 
-    /// Observer-side reconstruction (step 4 of Fig. 3): dequantizes the
-    /// angles and rebuilds `Ṽ_k` for every subcarrier via Eq. (7).
+    /// Observer-side reconstruction (step 4 of Fig. 3) of one tone:
+    /// dequantizes the angles at position `j` and rebuilds `Ṽ_k` for
+    /// subcarrier `subcarriers[j]` via Eq. (7).
+    ///
+    /// Tones are independent, so a consumer that reads only some of them
+    /// (a sub-band or strided input view) rebuilds only those.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of range or the angle set at `j` does not
+    /// match `mimo` (see [`v_from_angles`]).
+    pub fn v_at(&self, j: usize) -> CMatrix {
+        let a = dequantize(&self.angles[j], self.codebook);
+        v_from_angles(&a, self.mimo.m_tx(), self.mimo.n_ss())
+    }
+
+    /// Observer-side reconstruction (step 4 of Fig. 3) of every tone:
+    /// [`BeamformingFeedback::v_at`] over all sounded subcarriers.
     pub fn reconstruct(&self) -> VSeries {
-        let v = self
-            .angles
-            .iter()
-            .map(|q| {
-                let a = dequantize(q, self.codebook);
-                v_from_angles(&a, self.mimo.m_tx(), self.mimo.n_ss())
-            })
-            .collect();
         VSeries {
             subcarriers: self.subcarriers.clone(),
-            v,
+            v: (0..self.angles.len()).map(|j| self.v_at(j)).collect(),
         }
     }
 
@@ -241,6 +249,24 @@ mod tests {
         assert_eq!(e.len(), 4);
         for (j, z) in e.iter().enumerate() {
             assert_eq!(*z, series.v[j][(2, 0)]);
+        }
+    }
+
+    #[test]
+    fn reconstruct_is_v_at_over_every_tone() {
+        for (mimo, cb) in [
+            (MimoConfig::paper_default(), Codebook::MU_HIGH),
+            (MimoConfig::new(3, 1, 1).unwrap(), Codebook::MU_LOW),
+        ] {
+            let sc: Vec<i32> = (0..24).collect();
+            let cfr = random_cfr(99, 24, mimo.m_tx(), mimo.n_rx());
+            let fb = BeamformingFeedback::from_cfr(&cfr, &sc, mimo, cb);
+            let series = fb.reconstruct();
+            assert_eq!(series.subcarriers, fb.subcarriers);
+            assert_eq!(series.len(), fb.len());
+            for (j, v) in series.v.iter().enumerate() {
+                assert_eq!(*v, fb.v_at(j), "tone {j}");
+            }
         }
     }
 

@@ -1,8 +1,10 @@
 //! DNN input assembly: Ṽ → `Nch × Nrow × Ncol` I/Q tensors (§III-C).
 
 use deepcsi_bfi::BeamformingFeedback;
+use deepcsi_linalg::CMatrix;
 use deepcsi_nn::Tensor;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Selection of which parts of Ṽ feed the classifier.
 ///
@@ -148,17 +150,28 @@ impl InputSpec {
     /// Converts one captured feedback into a classifier input tensor of
     /// shape `(Nch, Nrow, Ncol)`.
     ///
+    /// Without offset cleaning only the kept tones (the sub-band
+    /// selection, then every `stride`-th) are reconstructed, each with
+    /// [`BeamformingFeedback::v_at`]: the tensor is bit-identical to
+    /// [`InputSpec::tensor_from_series`] over the full
+    /// [`BeamformingFeedback::reconstruct`], without rebuilding the tones
+    /// the classifier never reads. With `offset_cleaning` every tone is
+    /// reconstructed, because the phase fit of [`clean_phase_offsets`]
+    /// runs across the whole sounded band.
+    ///
     /// # Panics
     ///
     /// Panics if a selected stream/antenna is out of range for the
     /// feedback's MIMO dimensions, or no subcarriers survive selection
     /// (see [`InputSpec::compatible`]).
     pub fn tensor(&self, fb: &BeamformingFeedback) -> Tensor {
-        let mut series = fb.reconstruct();
+        let (m, n_ss) = (fb.mimo.m_tx(), fb.mimo.n_ss());
         if self.offset_cleaning {
+            let mut series = fb.reconstruct();
             clean_phase_offsets(&mut series);
+            return self.tensor_from_series(&series, m, n_ss);
         }
-        self.tensor_from_series(&series, fb.mimo.m_tx(), fb.mimo.n_ss())
+        self.fill(&self.positions(fb.len()), m, n_ss, |p| fb.v_at(p))
     }
 
     /// Converts an already-reconstructed Ṽ series into an input tensor —
@@ -174,40 +187,55 @@ impl InputSpec {
         m: usize,
         n_ss: usize,
     ) -> Tensor {
+        self.fill(&self.positions(series.len()), m, n_ss, |p| &series.v[p])
+    }
+
+    /// Positions (into a feedback of `n_sc` tones) of the kept tones, in
+    /// tensor column order: the sub-band selection (all tones when
+    /// `None`), then every `stride`-th of it.
+    fn positions(&self, n_sc: usize) -> Vec<usize> {
+        let step = self.stride.max(1);
+        match &self.subcarrier_positions {
+            Some(p) => p.iter().copied().step_by(step).collect(),
+            None => (0..n_sc).step_by(step).collect(),
+        }
+    }
+
+    /// Builds the `(Nch, Nrow, Ncol)` tensor, column `col` from the Ṽ
+    /// matrix `tone(positions[col])`.
+    fn fill<V: Borrow<CMatrix>>(
+        &self,
+        positions: &[usize],
+        m: usize,
+        n_ss: usize,
+        tone: impl Fn(usize) -> V,
+    ) -> Tensor {
         for &s in &self.streams {
             assert!(s < n_ss, "stream {s} out of range (n_ss={n_ss})");
         }
         for &a in &self.antennas {
             assert!(a < m, "antenna {a} out of range (m={m})");
         }
-        let all_positions: Vec<usize> = match &self.subcarrier_positions {
-            Some(p) => p.clone(),
-            None => (0..series.len()).collect(),
-        };
-        let positions: Vec<usize> = all_positions
-            .iter()
-            .copied()
-            .step_by(self.stride.max(1))
-            .collect();
         assert!(!positions.is_empty(), "no subcarriers selected");
 
         let n_ch = self.num_channels(m);
         let n_row = self.streams.len();
-        let n_col = positions.len();
-        let mut t = Tensor::zeros(vec![n_ch, n_row, n_col]);
-        let mut ch = 0usize;
-        for &a in &self.antennas {
-            let has_q = a + 1 != m;
-            for (row, &s) in self.streams.iter().enumerate() {
-                for (col, &p) in positions.iter().enumerate() {
-                    let v = series.v[p][(a, s)];
-                    *t.at3_mut(ch, row, col) = v.re as f32;
+        let mut t = Tensor::zeros(vec![n_ch, n_row, positions.len()]);
+        for (col, &p) in positions.iter().enumerate() {
+            let v = tone(p);
+            let v = v.borrow();
+            let mut ch = 0usize;
+            for &a in &self.antennas {
+                let has_q = a + 1 != m;
+                for (row, &s) in self.streams.iter().enumerate() {
+                    let z = v[(a, s)];
+                    *t.at3_mut(ch, row, col) = z.re as f32;
                     if has_q {
-                        *t.at3_mut(ch + 1, row, col) = v.im as f32;
+                        *t.at3_mut(ch + 1, row, col) = z.im as f32;
                     }
                 }
+                ch += if has_q { 2 } else { 1 };
             }
-            ch += if has_q { 2 } else { 1 };
         }
         t
     }

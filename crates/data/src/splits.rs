@@ -100,8 +100,15 @@ fn assemble(jobs: Vec<Job<'_>>, spec: &InputSpec) -> Split {
         .map(|n| n.get())
         .unwrap_or(4)
         .clamp(1, 16);
+    assemble_on(&jobs, spec, threads)
+}
+
+/// [`assemble`] on `threads` workers. Each worker converts one contiguous
+/// shard of the jobs and the shards are merged in job order, so the split
+/// is the same at every thread count.
+fn assemble_on(jobs: &[Job<'_>], spec: &InputSpec, threads: usize) -> Split {
     let chunk = jobs.len().div_ceil(threads).max(1);
-    let parts: Vec<Vec<(Dest, usize, LabeledSamples, usize)>> = crossbeam::thread::scope(|scope| {
+    let parts: Vec<Vec<(Dest, LabeledSamples)>> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = jobs
             .chunks(chunk)
             .map(|shard| {
@@ -116,8 +123,7 @@ fn assemble(jobs: Vec<Job<'_>>, spec: &InputSpec) -> Split {
                                     job.trace.module.0 as usize,
                                 );
                             }
-                            let n = samples.len();
-                            (job.dest, job.start, samples, n)
+                            (job.dest, samples)
                         })
                         .collect()
                 })
@@ -131,11 +137,12 @@ fn assemble(jobs: Vec<Job<'_>>, spec: &InputSpec) -> Split {
     .expect("crossbeam scope failed");
 
     let mut split = Split::default();
-    for (dest, _, samples, n) in parts.into_iter().flatten() {
+    for (dest, samples) in parts.into_iter().flatten() {
         match dest {
             Dest::Test => split.test.extend(samples),
             Dest::TrainVal => {
                 // Last VAL_FRACTION of each training range → validation.
+                let n = samples.len();
                 let n_train = ((n as f64) * (1.0 - VAL_FRACTION)).round() as usize;
                 for (i, (x, y)) in samples.x.into_iter().zip(samples.y).enumerate() {
                     if i < n_train {
@@ -460,6 +467,64 @@ mod tests {
         assert_eq!(split.train.len() + split.val.len(), 2 * 4 * 6);
         // Test: (0.5, 0.8333] of mob2 traces (4 of 12 snapshots each).
         assert_eq!(split.test.len(), 2 * 3 * 4);
+    }
+
+    #[test]
+    fn assembly_is_independent_of_the_thread_count() {
+        // The S1 jobs of beamformee 1: 18 traces, each cut 80/20 into a
+        // train+val range and a test range (36 jobs, so every thread
+        // count below shards them differently).
+        let ds = tiny_d1();
+        let spec = InputSpec {
+            stride: 4,
+            ..InputSpec::default()
+        };
+        let mut jobs = Vec::new();
+        for trace in ds.traces.iter().filter(|t| t.beamformee == 1) {
+            let n = trace.len();
+            let cut = ((n as f64) * TRAIN_FRACTION).round() as usize;
+            jobs.push(Job {
+                trace,
+                start: 0,
+                end: cut,
+                dest: Dest::TrainVal,
+            });
+            jobs.push(Job {
+                trace,
+                start: cut,
+                end: n,
+                dest: Dest::Test,
+            });
+        }
+        assert_eq!(jobs.len(), 36);
+
+        // In-order serial reference: one `spec.tensor` per snapshot, job
+        // by job, the tail VAL_FRACTION of each train range validating.
+        let mut want = Split::default();
+        for job in &jobs {
+            let n = job.end - job.start;
+            let n_train = ((n as f64) * (1.0 - VAL_FRACTION)).round() as usize;
+            for (k, i) in (job.start..job.end).enumerate() {
+                let x = spec.tensor(&job.trace.snapshots[i]);
+                let y = job.trace.module.0 as usize;
+                match job.dest {
+                    Dest::Test => want.test.push(x, y),
+                    Dest::TrainVal if k < n_train => want.train.push(x, y),
+                    Dest::TrainVal => want.val.push(x, y),
+                }
+            }
+        }
+        assert_eq!(want.train.len() + want.val.len(), 144);
+        assert_eq!(want.test.len(), 36);
+
+        for threads in [1usize, 2, 3, 8] {
+            assert_eq!(
+                assemble_on(&jobs, &spec, threads),
+                want,
+                "threads={threads}"
+            );
+        }
+        assert_eq!(d1_split(&ds, D1Set::S1, &[1], &spec), want);
     }
 
     #[test]

@@ -93,3 +93,59 @@ proptest! {
         prop_assert_eq!(t.shape()[2], positions.len().div_ceil(2));
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `tensor` reconstructs only the kept tones; every kept tone must run
+    /// the same arithmetic as the full `reconstruct` (+ cleaning) path.
+    #[test]
+    fn tensor_is_bit_identical_to_the_full_reconstruction(
+        n_sc in 1usize..=64,
+        stride in 0usize..=8,
+        seed in 0u64..100,
+        selection in 0u8..4,
+        raw_positions in collection::vec(0usize..64, 1..40),
+        streams in 0u8..3,
+        antenna_mask in 1u8..8,
+        reversed_antennas in any::<bool>(),
+        offset_cleaning in any::<bool>(),
+    ) {
+        let fb = feedback(n_sc, seed);
+        let mut positions: Vec<usize> = raw_positions.iter().map(|&p| p % n_sc).collect();
+        let subcarrier_positions = match selection {
+            0 => None,
+            1 => {
+                positions.sort_unstable();
+                positions.dedup();
+                Some(positions)
+            }
+            2 => Some(positions),
+            _ => {
+                positions.push(positions[0]);
+                positions.insert(0, positions[positions.len() / 2]);
+                Some(positions)
+            }
+        };
+        let mut antennas: Vec<usize> = (0..3).filter(|a| antenna_mask & (1 << a) != 0).collect();
+        if reversed_antennas {
+            antennas.reverse();
+        }
+        let spec = InputSpec {
+            streams: [vec![0], vec![1], vec![0, 1]][streams as usize].clone(),
+            antennas,
+            subcarrier_positions,
+            stride,
+            offset_cleaning,
+        };
+        let mut series = fb.reconstruct();
+        if offset_cleaning {
+            clean_phase_offsets(&mut series);
+        }
+        let reference = spec.tensor_from_series(&series, fb.mimo.m_tx(), fb.mimo.n_ss());
+        let t = spec.tensor(&fb);
+        prop_assert_eq!(t.shape(), reference.shape());
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(t.as_slice()), bits(reference.as_slice()), "{:?}", spec);
+    }
+}
